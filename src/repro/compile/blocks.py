@@ -29,6 +29,15 @@ The cache mirrors the two-tier warm icache: ``fork()`` snapshots the
 parent's blocks into the child's warm tier (shared dict, copy-on-write
 on first eviction), and the first execution re-validates via
 ``_prepare`` exactly like a warm icache hit does.
+
+Behind both tiers sits a *process* tier inside :func:`compile_block`:
+once discovery has fixed a block's instruction spans, a block whose
+bytes equal the pristine kernel text is content-addressed by
+``(arch, spans, raw bytes)`` and compiled once per process.  Generated
+code reads no CPU state at compile time and decoded instructions are
+never mutated, so a block compiled on one machine is valid on any
+machine whose bytes and spans match.  Flipped or non-text blocks
+(which never recur) and imageless machines bypass it.
 """
 
 from __future__ import annotations
@@ -157,20 +166,19 @@ class BlockCache:
 # block-leader discovery (static CFG, cached per kernel image)
 
 _LEADER_ATTR = "_compiled_block_leaders"
-_leader_fallback: Dict[int, frozenset] = {}
 
 
 def leaders_for(arch: str, image) -> frozenset:
     """Basic-block leader addresses from the static CFG; empty set when
-    no CFG can be built (decode-until-branch fallback).
+    there is no image or no CFG can be built (decode-until-branch
+    fallback).
 
     Cached on the image object itself — ``build_kernel`` is lru-cached,
     so every machine for an arch shares one image and one leader set.
     """
+    if image is None:
+        return frozenset()
     cached = getattr(image, _LEADER_ATTR, None)
-    if cached is not None:
-        return cached
-    cached = _leader_fallback.get(id(image))
     if cached is not None:
         return cached
     try:
@@ -182,10 +190,7 @@ def leaders_for(arch: str, image) -> frozenset:
         leaders = frozenset(leaders)
     except Exception:
         leaders = frozenset()
-    try:
-        setattr(image, _LEADER_ATTR, leaders)
-    except Exception:
-        _leader_fallback[id(image)] = leaders
+    setattr(image, _LEADER_ATTR, leaders)
     return leaders
 
 
@@ -198,6 +203,39 @@ def _generator(arch: str):
 
 
 # ---------------------------------------------------------------------------
+# process tier: clean kernel blocks, compiled once per process
+
+#: ``(arch, spans, raw bytes) -> CompiledBlock`` for blocks whose bytes
+#: are the pristine image text — bounded by each image's distinct clean
+#: blocks.  Filled by whichever machine compiles a block first; fork
+#: workers inherit the parent's entries, service threads share them.
+_process_blocks: Dict[tuple, CompiledBlock] = {}
+
+
+def clear_caches() -> None:
+    """Empty the process tier (test isolation, cold-cache benches)."""
+    _process_blocks.clear()
+
+
+def _clean_key(cpu, arch: str, image, start: int,
+               spans: Tuple[Tuple[int, int], ...]) -> Optional[tuple]:
+    """Process-tier key of the block ``spans`` starting at ``start``,
+    or None when its bytes are not the pristine image text (a flipped
+    block, code outside ``.text``, or no image at all)."""
+    if image is None:
+        return None
+    last_a, last_len = spans[-1]
+    offset = start - image.text_base
+    size = last_a + last_len - start
+    if offset < 0 or offset + size > len(image.text_bytes):
+        return None
+    raw = cpu.mem.read(start, size)
+    if raw != image.text_bytes[offset:offset + size]:
+        return None
+    return (arch, spans, raw)
+
+
+# ---------------------------------------------------------------------------
 # discovery + compilation
 
 
@@ -207,6 +245,8 @@ def compile_block(cpu, addr: int, arch: str, image) -> Optional[CompiledBlock]:
     Returns ``None`` when even the first fetch fails its permission
     check (the step core will raise the properly-attributed fault), or
     a negative marker when the first instruction cannot be compiled.
+    A clean kernel block is served from (or admitted to) the process
+    tier after discovery, skipping generation on a hit.
     """
     gen = _generator(arch)
     leaders = leaders_for(arch, image)
@@ -247,11 +287,20 @@ def compile_block(cpu, addr: int, arch: str, image) -> Optional[CompiledBlock]:
         a = next_a
     if not nodes:
         return None
-    fn, max_cycles = gen.generate(nodes, hard_end)
     spans = tuple((na, gen.insn_length(ni)) for na, ni in nodes)
-    last_a, last_i = nodes[-1]
-    return CompiledBlock(addr, last_a + gen.insn_length(last_i),
-                         len(nodes), spans, fn, max_cycles)
+    key = _clean_key(cpu, arch, image, addr, spans)
+    if key is not None:
+        block = _process_blocks.get(key)
+        if block is not None:
+            return block
+    fn, max_cycles = gen.generate(nodes, hard_end)
+    last_a, last_len = spans[-1]
+    block = CompiledBlock(addr, last_a + last_len, len(nodes), spans, fn,
+                          max_cycles)
+    if key is not None:
+        # a racing thread may have admitted the same block: keep one
+        block = _process_blocks.setdefault(key, block)
+    return block
 
 
 def _prepare(cpu, block: CompiledBlock, gen) -> bool:

@@ -33,6 +33,9 @@ GENERIC_SLACK = 150
 #: register-count-driven loops; cycle cost unbounded per instruction
 UNBOUNDED = frozenset()
 
+#: initial per-site region cell: epoch 0 is never drawn, so it misses
+_EMPTY_CELL = (None, 0)
+
 _NAMED_SPRS = {8: "lr", 9: "ctr", 1: "xer"}
 
 
@@ -113,7 +116,8 @@ def _load(g: _Gen, width: int, known_aligned: bool = False) -> None:
     """cpu.load(); address in ``a_``, result in ``v_``.
 
     The fast path inlines ``aspace.check``'s last-region hit (the same
-    containment + permission test, without the call) and the
+    containment + permission test, without the call) through the same
+    one-tuple ``(region, epoch)`` site cell as the x86 emitter, and the
     single-page big-endian read; the G4 core never turns
     ``translation_on`` off (high-address faults go through the ``hdf``
     guard above instead).  Misses fall back to the real calls so
@@ -125,10 +129,9 @@ def _load(g: _Gen, width: int, known_aligned: bool = False) -> None:
     if width > 1 and not known_aligned:
         g.w(f"if a_ & {width - 1}:")
         g.w("    cyc += 2")
-    cell = g.bind("s", [None, None, -1])
-    g.w(f"rg_ = {cell}[0]")
-    g.w(f"if {cell}[1] is aspace and {cell}[2] == aspace._epoch and "
-        f"rg_.start <= a_ and "
+    cell = g.bind("s", [_EMPTY_CELL])
+    g.w(f"rg_, ep_ = {cell}[0]")
+    g.w(f"if ep_ == aspace._epoch and rg_.start <= a_ and "
         f"a_ + {width} <= rg_.start + rg_.size and \"r\" in rg_.perm:")
     if width == 4:
         g.w("    o_ = a_ & 4095")
@@ -154,8 +157,7 @@ def _load(g: _Gen, width: int, known_aligned: bool = False) -> None:
     g.w("    except MF as mf:")
     g.w("        cpu._memfault(mf)")
     g.w(f"    v_ = {_READS[width]}")
-    g.w(f"    {cell}[0] = aspace._last; {cell}[1] = aspace; "
-        f"{cell}[2] = aspace._epoch")
+    g.w(f"    {cell}[0] = (aspace._last, aspace._epoch)")
     g.w("cyc += 2")
     _wp_sync(g, width, "AKR")
 
@@ -170,10 +172,9 @@ def _store(g: _Gen, width: int, value: str,
     if width > 1 and not known_aligned:
         g.w(f"if a_ & {width - 1}:")
         g.w(f'    raise PF(ALV, a_, "unaligned {width}-byte store")')
-    cell = g.bind("s", [None, None, -1])
-    g.w(f"rg_ = {cell}[0]")
-    g.w(f"if {cell}[1] is aspace and {cell}[2] == aspace._epoch and "
-        f"rg_.start <= a_ and "
+    cell = g.bind("s", [_EMPTY_CELL])
+    g.w(f"rg_, ep_ = {cell}[0]")
+    g.w(f"if ep_ == aspace._epoch and rg_.start <= a_ and "
         f"a_ + {width} <= rg_.start + rg_.size and \"w\" in rg_.perm:")
     g.w("    pi_ = a_ >> 12")
     g.w("    pg_ = pages.get(pi_)")
@@ -208,8 +209,7 @@ def _store(g: _Gen, width: int, value: str,
         g.w(f"    mem.write_u16(a_, {value}, False)")
     else:
         g.w(f"    mem.write_u8(a_, {value})")
-    g.w(f"    {cell}[0] = aspace._last; {cell}[1] = aspace; "
-        f"{cell}[2] = aspace._epoch")
+    g.w(f"    {cell}[0] = (aspace._last, aspace._epoch)")
     g.w("cyc += 2")
     _wp_sync(g, width, "AKW")
 

@@ -55,6 +55,9 @@ GENERIC_SLACK = 150
 #: never included in a block
 UNBOUNDED = frozenset({xdec.exec_movs, xdec.exec_stos})
 
+#: initial per-site region cell: epoch 0 is never drawn, so it misses
+_EMPTY_CELL = (None, 0)
+
 
 def insn_length(instr) -> int:
     return instr.length
@@ -153,17 +156,19 @@ def _load(g: _Gen, width: int) -> None:
     containment + permission test, no call) against a per-site region
     cell that persists across executions — each access site has
     near-perfect region locality even when a block interleaves stack
-    and data traffic.  The cell is keyed on the address-space identity
-    and its layout epoch, so unmapping (or running the shared block on
-    a forked machine) forces one slow-path refresh.
+    and data traffic.  The cell holds one ``(region, epoch)`` tuple,
+    replaced by a single store: epochs are process-unique per address
+    space and layout, so unmapping (or running the shared block on a
+    forked machine) forces one slow-path refresh, and threads running
+    the same block on different machines can never pair one space's
+    region with another's epoch.
     ``translation_on`` needs no test here: block dispatch requires it,
     and mid-block it only changes inside system instructions, which
     always end their block.  Any miss falls back to the real
     ``check``/read calls, so faults are attributed identically."""
-    cell = g.bind("s", [None, None, -1])
-    g.w(f"rg_ = {cell}[0]")
-    g.w(f"if {cell}[1] is aspace and {cell}[2] == aspace._epoch and "
-        f"rg_.start <= a_ and "
+    cell = g.bind("s", [_EMPTY_CELL])
+    g.w(f"rg_, ep_ = {cell}[0]")
+    g.w(f"if ep_ == aspace._epoch and rg_.start <= a_ and "
         f"a_ + {width} <= rg_.start + rg_.size and \"r\" in rg_.perm:")
     if width == 4:
         g.w("    o_ = a_ & 4095")
@@ -189,8 +194,7 @@ def _load(g: _Gen, width: int) -> None:
     g.w("    except MF as mf:")
     g.w("        cpu._memfault(mf)")
     g.w(f"    v_ = {_READS[width]}")
-    g.w(f"    {cell}[0] = aspace._last; {cell}[1] = aspace; "
-        f"{cell}[2] = aspace._epoch")
+    g.w(f"    {cell}[0] = (aspace._last, aspace._epoch)")
     g.w("cyc += 2")
     _wp_sync(g, width, "AKR")
 
@@ -199,10 +203,9 @@ def _store(g: _Gen, width: int, value: str) -> None:
     """Mirror of :func:`_load` for writes; the fast path additionally
     requires the page to be private (COW pages and misses go through
     ``mem.write_*`` which privatizes)."""
-    cell = g.bind("s", [None, None, -1])
-    g.w(f"rg_ = {cell}[0]")
-    g.w(f"if {cell}[1] is aspace and {cell}[2] == aspace._epoch and "
-        f"rg_.start <= a_ and "
+    cell = g.bind("s", [_EMPTY_CELL])
+    g.w(f"rg_, ep_ = {cell}[0]")
+    g.w(f"if ep_ == aspace._epoch and rg_.start <= a_ and "
         f"a_ + {width} <= rg_.start + rg_.size and \"w\" in rg_.perm:")
     g.w("    pi_ = a_ >> 12")
     g.w("    pg_ = pages.get(pi_)")
@@ -237,8 +240,7 @@ def _store(g: _Gen, width: int, value: str) -> None:
         g.w(f"    mem.write_u16(a_, {value}, True)")
     else:
         g.w(f"    mem.write_u8(a_, {value})")
-    g.w(f"    {cell}[0] = aspace._last; {cell}[1] = aspace; "
-        f"{cell}[2] = aspace._epoch")
+    g.w(f"    {cell}[0] = (aspace._last, aspace._epoch)")
     g.w("cyc += 2")
     _wp_sync(g, width, "AKW")
 

@@ -16,6 +16,7 @@ core).
 from __future__ import annotations
 
 import bisect
+import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -207,6 +208,11 @@ class Region:
         return self.start <= addr < self.end
 
 
+#: source of layout epochs, shared by every address space in the process
+#: so an epoch names one (address space, layout) pair
+_next_epoch = itertools.count(1).__next__
+
+
 _KIND_TO_PERM = {
     AccessKind.READ: "r",
     AccessKind.WRITE: "w",
@@ -233,9 +239,11 @@ class AddressSpace:
     _regions: List[Region] = field(default_factory=list)
     #: most-recently matched region (accesses are highly local)
     _last: Optional[Region] = field(default=None, repr=False)
-    #: bumped on every layout change; external caches of resolved
-    #: regions (repro.compile's per-site fast paths) key on it
-    _epoch: int = 0
+    #: redrawn on every layout change from a process-wide counter, so
+    #: no two spaces (and no two layouts of one space) share a value;
+    #: external caches of resolved regions (repro.compile's per-site
+    #: fast paths) key on it alone, without holding the space itself
+    _epoch: int = field(default_factory=_next_epoch)
 
     def map_region(self, region: Region) -> None:
         index = bisect.bisect_left(self._starts, region.start)
@@ -251,7 +259,7 @@ class AddressSpace:
         self._starts.insert(index, region.start)
         self._regions.insert(index, region)
         self._last = None
-        self._epoch += 1
+        self._epoch = _next_epoch()
 
     def clone_layout(self, source: "AddressSpace") -> None:
         """Adopt *source*'s region table wholesale (fork fast path).
@@ -264,7 +272,7 @@ class AddressSpace:
         self._starts = list(source._starts)
         self._regions = list(source._regions)
         self._last = None
-        self._epoch += 1
+        self._epoch = _next_epoch()
 
     def unmap_region(self, name: str) -> None:
         for index, region in enumerate(self._regions):
@@ -272,7 +280,7 @@ class AddressSpace:
                 del self._regions[index]
                 del self._starts[index]
                 self._last = None
-                self._epoch += 1
+                self._epoch = _next_epoch()
                 return
         raise MemoryError_(f"no region named {name}")
 

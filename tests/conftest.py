@@ -23,14 +23,19 @@ def _isolated_campaign_context_cache():
     behind for a later one) could leak between parametrized arches.
     The ``repro.static`` predictor keeps module-level ``lru_cache``s
     keyed on kernel images (dead-bit and taint-masked-bit sets) with
-    the same lifetime hazard — clear them on the same schedule.
+    the same lifetime hazard — clear them on the same schedule.  So
+    does ``repro.compile``'s process tier of clean kernel blocks, which
+    would otherwise make compile counts depend on test order.
     """
+    from repro.compile import clear_caches as clear_compile_caches
     from repro.static.predictor import clear_caches
     CampaignContext.clear_cache()
     clear_caches()
+    clear_compile_caches()
     yield
     CampaignContext.clear_cache()
     clear_caches()
+    clear_compile_caches()
 
 
 @pytest.fixture(scope="session")

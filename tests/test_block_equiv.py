@@ -26,7 +26,9 @@ import hashlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.compile import BlockCache, lookup_block
+from repro.compile import (
+    BlockCache, blocks, clear_caches, compile_block, lookup_block,
+)
 from repro.isa.memory import Region
 from repro.machine.machine import Machine, MachineConfig
 from repro.ppc.assembler import PPCAssembler
@@ -157,6 +159,27 @@ def run_lockstep(arch: str, code: bytes, max_insns: int):
             break                       # e.g. halted without retiring
     assert _snapshot(arch, block_cpu) == _snapshot(arch, step_cpu)
     return boundaries, compiled, None
+
+
+def block_vs_step(arch: str, blk, block_cpu, step_cpu):
+    """Run *blk* once on *block_cpu* and single-step *step_cpu* (same
+    starting state) over the instructions it retired; state and fault
+    must be identical.  Returns the block's fault, or None."""
+    base = block_cpu.instret
+    blk_exc = step_exc = None
+    try:
+        blk.fn(block_cpu)
+    except _FAULTS as exc:
+        blk_exc = exc
+    for _ in range(block_cpu.instret - base):
+        step_cpu.step()
+    if blk_exc is not None:
+        with pytest.raises(_FAULTS) as info:
+            step_cpu.step()
+        step_exc = info.value
+    assert _fault_key(blk_exc) == _fault_key(step_exc)
+    assert _snapshot(arch, block_cpu) == _snapshot(arch, step_cpu)
+    return blk_exc
 
 
 # ---------------------------------------------------------------------------
@@ -456,3 +479,135 @@ class TestKernelWorkload:
             driver.run(10)
             finals[mode] = _snapshot(arch, clone.cpu)
         assert finals["step"] == finals["block"]
+
+
+# ---------------------------------------------------------------------------
+# the process tier: one compiled block shared by every machine
+
+
+def _enter(arch: str, cpu, pc: int, sp: int) -> None:
+    """Point *cpu* at *pc* with stack pointer *sp*."""
+    if arch == "x86":
+        cpu.eip = pc
+        cpu.regs[4] = sp
+    else:
+        cpu.pc = pc
+        cpu.gpr[1] = sp
+
+
+class TestProcessTier:
+    def test_leaders_for_without_image_is_empty_and_stateless(self):
+        before = dict(vars(blocks))
+        for arch in ("x86", "ppc"):
+            assert blocks.leaders_for(arch, None) == frozenset()
+        assert dict(vars(blocks)) == before
+
+    @pytest.mark.parametrize("arch", ["x86", "ppc"])
+    def test_shared_block_interleaved_on_two_layouts(self, arch, booted_x86,
+                                                     booted_ppc):
+        """One block function, run alternately on a fork whose task
+        stack is mapped and a fork whose task stack is unmapped, must
+        match a single-stepping twin of each fork every time.  The
+        per-site region cells are shared by both runs; a cell filled by
+        one fork must never let the other skip its fault."""
+        base = booted_x86 if arch == "x86" else booted_ppc
+        task = base.tasks[base.current_pid]
+        start = base.image.functions["schedule"].addr
+        sp = task.stack_top - 64
+        mapped, mapped_twin = base.fork(), base.fork()
+        unmapped, unmapped_twin = base.fork(), base.fork()
+        for machine in (unmapped, unmapped_twin):
+            machine.cpu.aspace.unmap_region(f"kstack:{task.pid}")
+        blk = compile_block(mapped.cpu, start, arch, base.image)
+        assert blk is not None and blk.fn is not None
+        assert compile_block(unmapped.cpu, start, arch, base.image) is blk
+
+        def round_(machine, twin):
+            for cpu in (machine.cpu, twin.cpu):
+                _enter(arch, cpu, start, sp)
+            return block_vs_step(arch, blk, machine.cpu, twin.cpu)
+
+        for _ in range(2):
+            assert round_(mapped, mapped_twin) is None
+            assert round_(unmapped, unmapped_twin) is not None
+
+    @pytest.mark.parametrize("arch", ["x86", "ppc"])
+    def test_code_campaign_digest_cold_warm_and_parallel(self, arch):
+        """A code campaign gives one results digest whether its blocks
+        were compiled from scratch (process tier cleared), served from
+        the process tier to a second, freshly built context, or served
+        to fork workers that inherited it."""
+        from repro.injection.campaign import (
+            Campaign, CampaignConfig, CampaignContext,
+        )
+        from repro.injection.outcomes import CampaignKind
+        from repro.store.codec import results_digest
+
+        config = CampaignConfig(arch=arch, kind=CampaignKind.CODE,
+                                count=16, seed=2, ops=36)
+
+        def digest(context, workers=1):
+            result = Campaign(config, context).run(workers=workers)
+            assert result.injected == config.count
+            assert not result.failures
+            return results_digest(result.results)
+
+        clear_caches()
+        cold = digest(CampaignContext(arch, config.seed, config.ops))
+        admitted = len(blocks._process_blocks)
+        assert admitted > 0
+        warm_context = CampaignContext(arch, config.seed, config.ops)
+        assert digest(warm_context) == cold
+        assert len(blocks._process_blocks) == admitted
+        assert digest(warm_context, workers=2) == cold
+
+    @pytest.mark.parametrize("arch", ["x86", "ppc"])
+    def test_threads_share_one_block_and_keep_their_faults(
+            self, arch, booted_x86, booted_ppc):
+        """Stress: more threads than cores, a tiny switch interval, each
+        thread compiling the same clean block on its own fork and then
+        running it repeatedly.  Every thread must be handed the one
+        admitted block object, forks with the task stack mapped must
+        never fault, and forks with it unmapped must fault every time
+        — a region cell torn between two forks would break the last."""
+        import sys
+        import threading
+
+        base = booted_x86 if arch == "x86" else booted_ppc
+        task = base.tasks[base.current_pid]
+        start = base.image.functions["schedule"].addr
+        sp = task.stack_top - 64
+        forks = [base.fork() for _ in range(4)]
+        for machine in forks[1::2]:
+            machine.cpu.aspace.unmap_region(f"kstack:{task.pid}")
+        got = [None] * len(forks)
+        faults = [0] * len(forks)
+        rounds = 200
+        barrier = threading.Barrier(len(forks))
+
+        def worker(index):
+            cpu = forks[index].cpu
+            barrier.wait()
+            blk = got[index] = compile_block(cpu, start, arch, base.image)
+            for _ in range(rounds):
+                _enter(arch, cpu, start, sp)
+                try:
+                    blk.fn(cpu)
+                except _FAULTS:
+                    faults[index] += 1
+
+        clear_caches()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(index,))
+                       for index in range(len(forks))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got[0] is not None and all(blk is got[0] for blk in got)
+        assert faults == [0, rounds] * (len(forks) // 2)

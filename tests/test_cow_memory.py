@@ -453,3 +453,90 @@ class TestBlockCacheSMC:
         assert not cache.hot
         for addr, block in survivors.items():
             assert cache.warm.get(addr) is block
+
+    # -- the process tier behind both per-machine tiers ------------------
+
+    @staticmethod
+    def _clean_block(arch, base):
+        """Compile the entry block of ``schedule`` on a fresh fork; it is
+        pristine kernel text, so the process tier admits it."""
+        from repro.compile import compile_block
+        start = base.image.functions["schedule"].addr
+        clean = compile_block(base.fork().cpu, start, arch, base.image)
+        assert clean is not None and clean.fn is not None and clean.n >= 2
+        assert compile_block(base.fork().cpu, start, arch,
+                             base.image) is clean
+        return clean
+
+    @pytest.mark.parametrize("arch", ARCHES)
+    def test_flipped_clean_block_is_compiled_fresh_not_admitted(
+            self, arch, booted_x86, booted_ppc):
+        """A fork that flips a bit inside a cached clean block gets a
+        freshly compiled block (never the pristine one), that block
+        matches the step core, and the process tier does not grow."""
+        from repro.compile import blocks, compile_block
+        from tests.test_block_equiv import block_vs_step
+        base = _machine(arch, booted_x86, booted_ppc)
+        clean = self._clean_block(arch, base)
+        admitted = len(blocks._process_blocks)
+        flipped = base.fork()
+        flipped.flip_memory_bit(clean.spans[clean.n // 2][0], 0)
+        runner, stepper = flipped.fork(), flipped.fork()
+        for machine in (runner, stepper):
+            if arch == "x86":
+                machine.cpu.eip = clean.start
+            else:
+                machine.cpu.pc = clean.start
+        fresh = compile_block(runner.cpu, clean.start, arch, runner.image)
+        assert fresh is not None and fresh.fn is not None
+        assert fresh is not clean
+        assert len(blocks._process_blocks) == admitted
+        block_vs_step(arch, fresh, runner.cpu, stepper.cpu)
+
+    @pytest.mark.parametrize("arch", ARCHES)
+    def test_restored_byte_serves_the_pristine_block(
+            self, arch, booted_x86, booted_ppc):
+        """Flipping the same bit back (what an intermittent fault's
+        re-fire does) makes the bytes pristine again: the next lookup
+        is served the process tier's block object itself."""
+        from repro.compile import blocks, lookup_block
+        base = _machine(arch, booted_x86, booted_ppc)
+        clean = self._clean_block(arch, base)
+        admitted = len(blocks._process_blocks)
+        clone = base.fork()
+        cache = clone.cpu._block_cache
+        addr = clean.spans[-1][0]
+        clone.flip_memory_bit(addr, 3)
+        flipped = lookup_block(clone.cpu, cache, clean.start, arch,
+                               clone.image)
+        assert flipped is not None and flipped is not clean
+        clone.flip_memory_bit(addr, 3)
+        assert clean.start not in cache.hot
+        assert clean.start not in cache.warm
+        assert lookup_block(clone.cpu, cache, clean.start, arch,
+                            clone.image) is clean
+        assert len(blocks._process_blocks) == admitted
+
+    @pytest.mark.parametrize("arch", ARCHES)
+    def test_imageless_blocks_compile_but_are_never_admitted(self, arch):
+        from repro.compile import blocks, compile_block
+        cpu = _bare_cpu(arch)
+        if arch == "x86":
+            from repro.x86.assembler import X86Assembler
+            asm = X86Assembler()
+            asm.mov_r_imm(0, 1)
+            asm.hlt()
+        else:
+            from repro.ppc.assembler import PPCAssembler
+            asm = PPCAssembler()
+            asm.li(3, 1)
+            spin = asm.new_label("spin")
+            asm.label(spin)
+            asm.b_label(spin)
+        cpu.mem.write(TEXT, asm.finish())
+        admitted = len(blocks._process_blocks)
+        first = compile_block(cpu, TEXT, arch, None)
+        second = compile_block(cpu, TEXT, arch, None)
+        assert first is not None and first.fn is not None
+        assert second is not first
+        assert len(blocks._process_blocks) == admitted
